@@ -278,6 +278,29 @@ BENCHMARK(BM_EndToEndDumbbell1000Flows)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+/// Set-up alone: the Dumbbell constructor (topology, routes, senders, web
+/// and watchdog wiring) for `flows` long forward flows of the paper-scale
+/// PERT dumbbell above. Teardown runs outside the timed region.
+void BM_DumbbellSetup(benchmark::State& state) {
+  exp::DumbbellConfig c;
+  c.scheme = exp::Scheme::kPert;
+  c.bottleneck_bps = 150e6;
+  c.rtt = 0.060;
+  c.num_fwd_flows = static_cast<std::int32_t>(state.range(0));
+  c.start_window = 2.0;
+  for (auto _ : state) {
+    auto d = std::make_unique<exp::Dumbbell>(c);
+    state.PauseTiming();
+    d.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_DumbbellSetup)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
+
 /// Paper-scale Figure 10/11 chain (6 routers, 20 hosts per cloud): one
 /// simulated second per iteration; argument = sim_threads as above (the
 /// sharded layout is one shard per router cloud).

@@ -1,10 +1,10 @@
 #include "net/network.h"
 
 #include <cassert>
-#include <limits>
 #include <map>
-#include <queue>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/validate.h"
 
@@ -120,7 +120,12 @@ std::uint64_t Network::total_dispatched() const {
 
 Link* Network::add_link(Node* a, Node* b, double rate_bps, sim::Time delay,
                         std::unique_ptr<Queue> q) {
-  assert(a && b && a != b);
+  if (!a || !b || a == b)
+    throw sim::ConfigError(
+        "Network: add_link needs two distinct nodes",
+        std::string("component=Network param=add_link from=") +
+            (a ? std::to_string(a->id()) : "null") +
+            " to=" + (b ? std::to_string(b->id()) : "null") + "\n");
   // The transmitter (and its queue) belong to the source node's shard.
   sim::Scheduler& sched =
       sharded_ ? *shard_scheds_[static_cast<std::size_t>(node_shard(a))]
@@ -159,37 +164,78 @@ std::pair<Link*, Link*> Network::add_duplex_droptail(Node* a, Node* b,
 
 void Network::compute_routes() {
   const std::size_t n = nodes_.size();
-  // Adjacency: for each node, (neighbor, link) ordered by insertion —
-  // deterministic next-hop choice on equal-length paths.
-  std::vector<std::vector<std::pair<NodeId, Link*>>> adj(n);
-  for (const Edge& e : edges_)
-    adj[static_cast<std::size_t>(e.from)].emplace_back(e.to, e.link);
+  const auto at = [](NodeId id) { return static_cast<std::size_t>(id); };
 
-  // BFS from every destination over *reversed* edges, recording each node's
-  // forward next-hop link toward that destination.
+  // Degree census. A host has exactly one out-edge and one in-edge, both to
+  // the same neighbour; that edge pair is all it routes over.
+  std::vector<std::int32_t> outs(n, 0), ins(n, 0);
+  std::vector<const Edge*> last_out(n, nullptr), last_in(n, nullptr);
+  for (const Edge& e : edges_) {
+    ++outs[at(e.from)];
+    last_out[at(e.from)] = &e;
+    ++ins[at(e.to)];
+    last_in[at(e.to)] = &e;
+  }
+  std::vector<bool> host(n, false);
+  std::vector<NodeId> transit;
+  for (std::size_t v = 0; v < n; ++v) {
+    host[v] = outs[v] == 1 && ins[v] == 1 &&
+              last_out[v]->to == last_in[v]->from;
+    Node& node = *nodes_[v];
+    node.overrides_.clear();
+    if (host[v]) {
+      node.uplink_ = last_out[v]->link;
+      node.gateway_ = nodes_[at(last_out[v]->to)].get();
+      std::vector<Link*>().swap(node.routes_);
+    } else {
+      node.uplink_ = nullptr;
+      node.gateway_ = nullptr;
+      node.routes_.assign(n, nullptr);
+      transit.push_back(static_cast<NodeId>(v));
+    }
+  }
+
+  // Reversed transit-to-transit edges, insertion order kept per node:
+  // radj[u] lists (v, link v->u).
   std::vector<std::vector<std::pair<NodeId, Link*>>> radj(n);
   for (const Edge& e : edges_)
-    radj[static_cast<std::size_t>(e.to)].emplace_back(e.from, e.link);
+    if (!host[at(e.from)] && !host[at(e.to)])
+      radj[at(e.to)].emplace_back(e.from, e.link);
 
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    std::vector<std::int32_t> dist(n, std::numeric_limits<std::int32_t>::max());
-    std::queue<NodeId> bfs;
-    dist[dst] = 0;
-    bfs.push(static_cast<NodeId>(dst));
-    while (!bfs.empty()) {
-      const NodeId u = bfs.front();
-      bfs.pop();
-      for (auto [v, link] : radj[static_cast<std::size_t>(u)]) {
-        auto& dv = dist[static_cast<std::size_t>(v)];
-        if (dv == std::numeric_limits<std::int32_t>::max()) {
-          dv = dist[static_cast<std::size_t>(u)] + 1;
-          // v reaches dst via link (v -> u edge in forward direction).
-          nodes_[static_cast<std::size_t>(v)]->set_route(
-              static_cast<NodeId>(dst), link);
-          bfs.push(v);
-        }
+  // BFS from every transit destination over reversed edges, recording each
+  // node's forward next-hop link toward it. Hosts are leaves of such a BFS
+  // (reached only from their gateway, they lead back only to it), so
+  // skipping them leaves the transit visit order, and thus the tie-break,
+  // unchanged. `seen[v] == dst` marks v visited in the BFS from dst.
+  std::vector<NodeId> queue(n);
+  std::vector<NodeId> seen(n, kNoNode);
+  for (const NodeId dst : transit) {
+    std::size_t head = 0, tail = 0;
+    queue[tail++] = dst;
+    seen[at(dst)] = dst;
+    while (head < tail) {
+      const NodeId u = queue[head++];
+      for (const auto [v, link] : radj[at(u)]) {
+        if (seen[at(v)] == dst) continue;
+        seen[at(v)] = dst;
+        nodes_[at(v)]->routes_[at(dst)] = link;
+        queue[tail++] = v;
       }
     }
+  }
+
+  // Host destinations. A BFS from host h enters only through its gateway g
+  // and then runs exactly like the BFS from g, so every transit node routes
+  // to h as it routes to g, and g itself takes its link to h.
+  for (std::size_t h = 0; h < n; ++h) {
+    if (!host[h]) continue;
+    const Edge& down = *last_in[h];
+    if (host[at(down.from)]) continue;  // an isolated host pair
+    for (const NodeId t : transit) {
+      auto& row = nodes_[at(t)]->routes_;
+      row[h] = row[at(down.from)];
+    }
+    nodes_[at(down.from)]->routes_[h] = down.link;
   }
 }
 

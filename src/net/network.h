@@ -110,7 +110,8 @@ class Network {
 
   /// Adds a unidirectional link a -> b with the given queue discipline.
   /// The link's transmitter runs on a's shard — the queue must have been
-  /// constructed under that shard's cursor.
+  /// constructed under that shard's cursor. Throws sim::ConfigError unless
+  /// a and b are two distinct nodes.
   Link* add_link(Node* a, Node* b, double rate_bps, sim::Time delay,
                  std::unique_ptr<Queue> q);
 
@@ -127,8 +128,11 @@ class Network {
                                               double rate_bps, sim::Time delay,
                                               std::int32_t cap);
 
-  /// Computes hop-count shortest paths (BFS per destination, deterministic)
-  /// and installs next-hop routes on every node. Call after topology changes.
+  /// Computes hop-count shortest paths (ties broken by edge insertion order)
+  /// and installs next-hop routes on every node, discarding set_route()
+  /// overrides. Call after topology changes. Hosts get an uplink, transit
+  /// nodes a dense table: O(R·N) time and memory for R transit nodes, since
+  /// only transit destinations need a BFS.
   void compute_routes();
 
   /// Registers an agent (owned by the network); binds it to node:port when
@@ -163,7 +167,6 @@ class Network {
   PacketPool& packet_pool() noexcept {
     return sharded_ ? *shard_pools_[cursor()] : pool_;
   }
-  const PacketPool& packet_pool() const noexcept { return pool_; }
 
   /// Runs to time t (inclusive). Sharded networks run the parallel engine
   /// with sim_threads() workers; finalize_shards() must have been called.

@@ -1,14 +1,35 @@
 #include "net/node.h"
 
+#include <string>
 #include <utility>
 
 #include "net/link.h"
+#include "sim/validate.h"
 
 namespace pert::net {
 
+void Node::set_route(NodeId dst, Link* out) {
+  for (auto& [d, link] : overrides_)
+    if (d == dst) {
+      link = out;
+      return;
+    }
+  overrides_.emplace_back(dst, out);
+}
+
+Link* Node::overridden_route(NodeId dst) const {
+  for (const auto& [d, link] : overrides_)
+    if (d == dst) return link;
+  return computed_route(dst);
+}
+
 void Node::bind(Agent& a, std::int32_t port) {
-  assert(port >= 0);
-  assert(!ports_.contains(port) && "port already bound");
+  sim::require_non_negative("Node", "port", port);
+  if (ports_.contains(port))
+    throw sim::ConfigError(
+        "Node: port " + std::to_string(port) + " already bound",
+        "component=Node param=port value=" + std::to_string(port) +
+            " node=" + std::to_string(id_) + "\n");
   a.node_ = this;
   a.port_ = port;
   ports_[port] = &a;

@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/avq_queue.h"
@@ -30,6 +31,54 @@ TEST(ConfigReject, QueueCapacityAtLeastOne) {
   EXPECT_NO_THROW(DropTailQueue(sched, 1));
   EXPECT_THROW(DropTailQueue(sched, 0), sim::ConfigError);
   EXPECT_THROW(DropTailQueue(sched, -5), sim::ConfigError);
+}
+
+TEST(ConfigReject, NodeBindRejectsBoundAndNegativePorts) {
+  struct Stub final : Agent {
+    void receive(PacketPtr) override {}
+  };
+  Network net(1);
+  Node* n = net.add_node();
+  Stub first, second;
+  n->bind(first, 7);
+  EXPECT_THROW(n->bind(second, 7), sim::ConfigError);
+  EXPECT_EQ(second.node(), nullptr) << "a rejected bind leaves the agent alone";
+  EXPECT_THROW(n->bind(second, -1), sim::ConfigError);
+  EXPECT_THROW(net.add_agent<Stub>(n, 7), sim::ConfigError);
+
+  // The first binding still receives the port's packets.
+  struct Count final : Agent {
+    int n = 0;
+    void receive(PacketPtr) override { ++n; }
+  };
+  Count c;
+  n->bind(c, 8);
+  auto p = net.make_packet();
+  p->dst = n->id();
+  p->dst_port = 8;
+  n->send(std::move(p));
+  EXPECT_EQ(c.n, 1);
+}
+
+TEST(ConfigReject, AddLinkRejectsSelfLoop) {
+  Network net(1);
+  Node* a = net.add_node();
+  EXPECT_THROW(net.add_link(a, a, 1e6, 0.001,
+                            std::make_unique<DropTailQueue>(net.sched(), 10)),
+               sim::ConfigError);
+  EXPECT_TRUE(net.links().empty());
+}
+
+TEST(ConfigReject, AddLinkRejectsNullNode) {
+  Network net(1);
+  Node* a = net.add_node();
+  EXPECT_THROW(net.add_link(a, nullptr, 1e6, 0.001,
+                            std::make_unique<DropTailQueue>(net.sched(), 10)),
+               sim::ConfigError);
+  EXPECT_THROW(net.add_link(nullptr, a, 1e6, 0.001,
+                            std::make_unique<DropTailQueue>(net.sched(), 10)),
+               sim::ConfigError);
+  EXPECT_TRUE(net.links().empty());
 }
 
 TEST(ConfigReject, RedParams) {

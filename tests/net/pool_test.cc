@@ -134,6 +134,22 @@ TEST(PacketPool, DroppedPacketsReturnToTheirPool) {
   EXPECT_EQ(net.packet_pool().stats().acquires, 16u);
 }
 
+TEST(PacketPool, NetworkPoolFollowsShardCursor) {
+  Network net(1);
+  net.set_shards(2);
+  PacketPtr held;
+  {
+    const Network::ShardCursor at1(net, 1);
+    held = net.make_packet();
+    EXPECT_EQ(net.packet_pool().outstanding(), 1u)
+        << "packet_pool() is the active shard's pool";
+  }
+  EXPECT_EQ(net.packet_pool().outstanding(), 0u) << "shard 0 lent nothing";
+  held.reset();
+  const Network::ShardCursor at1(net, 1);
+  EXPECT_EQ(net.packet_pool().stats().releases, 1u);
+}
+
 /// The acceptance gate for the allocation-free hot path: once a loaded
 /// dumbbell reaches steady state, the simulation performs zero further
 /// packet allocations — every make_packet is served from the free list.
