@@ -1,8 +1,11 @@
-// Micro-benchmarks (google-benchmark): scheduler throughput, queue
-// disciplines, RNG, TCP ACK-path, and a small end-to-end simulation.
+// Micro-benchmarks (google-benchmark): scheduler throughput and deep-heap
+// hold, queue disciplines, RNG, TCP ACK-path, and a small end-to-end
+// simulation.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <memory>
+#include <vector>
 
 #include "core/response_curve.h"
 #include "exp/dumbbell.h"
@@ -61,6 +64,57 @@ void BM_SchedulerCancel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchedulerCancel);
+
+/// Hold model: every dispatched event schedules one follow-up at an
+/// exponential offset (mean 1 s), and every 4th dispatch re-arms one of
+/// `pending / 8` RTO-style timers (cancel + schedule 4 s out), so the queue
+/// stays `pending` deep and the timers sit below the churn. Offsets cycle
+/// through a precomputed table, so RNG cost stays out of the timing. One
+/// iteration is one dispatched event. The BM_Scheduler* micros never hold
+/// more than 64 events; this one measures sift cost at the depths of
+/// paper-scale runs (dumbbell-web-red peaks near 2.7k pending events).
+class HoldModel {
+ public:
+  explicit HoldModel(std::size_t pending) : timers_(pending / 8) {
+    sim::Rng rng(1);
+    for (auto& o : offsets_) o = rng.exponential(1.0);
+    for (std::size_t i = timers_.size(); i < pending; ++i) hold();
+    for (auto& id : timers_) id = s_.schedule_in(kRto, [] {});
+  }
+
+  sim::Scheduler& scheduler() { return s_; }
+
+ private:
+  static constexpr double kRto = 4.0;
+
+  void hold() {
+    s_.schedule_in(offsets_[next_offset_++ % offsets_.size()],
+                   [this] { on_hold(); });
+  }
+
+  void on_hold() {
+    hold();
+    if (++fired_ % 4 == 0 && !timers_.empty()) {
+      auto& id = timers_[next_timer_++ % timers_.size()];
+      s_.cancel(id);
+      id = s_.schedule_in(kRto, [] {});
+    }
+  }
+
+  sim::Scheduler s_;
+  std::array<double, 4096> offsets_{};
+  std::vector<sim::Scheduler::EventId> timers_;
+  std::size_t next_offset_ = 0;
+  std::size_t next_timer_ = 0;
+  std::uint64_t fired_ = 0;
+};
+
+void BM_EventHold(benchmark::State& state) {
+  HoldModel m(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) m.scheduler().run_next();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventHold)->Arg(64)->Arg(4096)->Arg(32768);
 
 void BM_DropTailEnqueueDequeue(benchmark::State& state) {
   sim::Scheduler s;

@@ -1,14 +1,21 @@
 // Discrete-event scheduler.
 //
-// An index-addressable 4-ary min-heap of (time, key) keyed events over a
-// generation-tagged slot pool. Ties in time are broken by insertion order
-// (monotonic sequence numbers), which makes every run fully deterministic for
-// a given seed and call sequence.
+// A 4-ary min-heap of (time, key) keyed events over a generation-tagged slot
+// pool. Ties in time are broken by insertion order (monotonic sequence
+// numbers), which makes every run fully deterministic for a given seed and
+// call sequence.
 //
-// Design notes (the allocation-free hot path):
-//   - Events live in recycled slots; the heap orders slot indices, and each
-//     slot records its heap position, so cancel() removes the event eagerly
-//     in O(log4 n) with no hashing and pending() is a plain O(1) size read.
+// Design notes (the allocation-free, cache-resident hot path):
+//   - Each heap entry carries its event's full sort key next to the slot
+//     index: Entry{t, seq, slot}, 24 bytes. Sifts compare entries that sit
+//     side by side in heap_ and never touch the slot pool, so a sift_down
+//     level reads two or three adjacent cache lines, not four scattered
+//     slots. See docs/performance.md for the A/B and the layouts rejected.
+//     The key is stored only in the entry; a slot holds what dispatch and
+//     cancel need (generation, heap position, callback).
+//   - Events live in recycled slots, and each slot records its entry's heap
+//     position, so cancel() removes the event eagerly in O(log4 n) with no
+//     hashing and pending() is a plain O(1) size read.
 //   - Handles are (slot, generation) pairs. A slot's generation bumps on
 //     every acquire and release, so a stale EventId — the event ran, was
 //     cancelled, or its slot was recycled — can never cancel a later event.
@@ -149,43 +156,58 @@ class Scheduler {
   /// live (cancellable) but no longer heap residents.
   static constexpr std::int32_t kInBatch = -2;
 
+  /// One heap resident: the event's sort key and the slot it lives in.
+  struct Entry {
+    Time t;
+    std::uint64_t seq;   // tie-break key (lane bit | counter, or explicit)
+    std::uint32_t slot;
+  };
+
   struct Slot {
-    Time t = 0.0;
-    std::uint64_t seq = 0;       // tie-break key (lane bit | counter)
     std::uint32_t gen = 0;       // odd while scheduled, even while free
     std::int32_t heap_pos = -1;  // index into heap_, -1 free, kInBatch drained
     Callback cb;
   };
 
-  /// True when the event in slot `a` dispatches before the one in slot `b`.
-  bool before(std::uint32_t a, std::uint32_t b) const noexcept {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.t != sb.t) return sa.t < sb.t;
-    return sa.seq < sb.seq;
+  /// True when entry `a` dispatches before entry `b`.
+  static bool before(const Entry& a, const Entry& b) noexcept {
+    if (a.t != b.t) return a.t < b.t;
+    return a.seq < b.seq;
   }
 
-  void heap_set(std::size_t pos, std::uint32_t slot) noexcept {
-    heap_[pos] = slot;
-    slots_[slot].heap_pos = static_cast<std::int32_t>(pos);
+  void heap_set(std::size_t pos, const Entry& e) noexcept {
+    heap_[pos] = e;
+    slots_[e.slot].heap_pos = static_cast<std::int32_t>(pos);
   }
-  void sift_up(std::size_t pos) noexcept;
-  void sift_down(std::size_t pos) noexcept;
+  /// Move `e` from the hole at `pos` towards the root (sift_up) or the
+  /// leaves (sift_down) until the heap property holds, then store it.
+  void sift_up(std::size_t pos, Entry e) noexcept;
+  void sift_down(std::size_t pos, Entry e) noexcept;
   /// Removes the heap entry at `pos`, restoring the heap property.
   void heap_erase(std::size_t pos) noexcept;
 
   /// Returns a slot to the free list (bumps generation, drops the callback).
   void release_slot(std::uint32_t idx);
 
+  /// Numeric sentinel: a NaN time would fail every heap comparison and
+  /// silently corrupt event ordering (and NaN delays slip through the
+  /// negative-delay clamp in schedule_in, since NaN compares false). One
+  /// predictable branch inline; the throw stays out of line.
+  void require_finite(Time t) const {
+    if (!(t - t == 0.0)) throw_non_finite(t);  // NaN and +-inf, no libm call
+  }
+  [[noreturn]] void throw_non_finite(Time t) const;
+
   EventId emplace(Time t, std::uint64_t seq, Callback cb);
 
   /// Shared guts of run_next / run_batch: clock + stall accounting, slot
-  /// release, dispatch trace, callback invocation for the event in `idx`.
-  void dispatch_slot(std::uint32_t idx);
+  /// release, dispatch trace, callback invocation for the event in `idx`,
+  /// due at `t` (the time of the entry it was popped from).
+  void dispatch_slot(std::uint32_t idx, Time t);
 
   std::vector<Slot> slots_;         // slot pool (high-water-mark sized)
   std::vector<std::uint32_t> free_; // recycled slot indices
-  std::vector<std::uint32_t> heap_; // 4-ary min-heap of live slot indices
+  std::vector<Entry> heap_;         // 4-ary min-heap of live events
   /// Reusable (slot, generation) scratch for run_batch; generation detects
   /// cancellation (or slot reuse) between drain and dispatch.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> batch_;

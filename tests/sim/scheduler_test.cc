@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "sim/random.h"
@@ -296,6 +301,213 @@ TEST_P(SchedulerPropertyTest, PendingMatchesReferenceUnderRandomOps) {
   while (s.run_next()) --expected;
   EXPECT_EQ(expected, 0u);
   EXPECT_EQ(s.pending(), 0u);
+}
+
+// --- exact-order oracle: the whole (time, key) dispatch sequence ---
+//
+// RandomEventsDispatchSorted only sees dispatch *times*, and the batch twin
+// test compares the scheduler with itself. This oracle replays a seeded mix
+// of schedules (quantized times that force ties, explicit schedule_at_keyed
+// keys, past times that clamp, schedules from inside callbacks) and cancels
+// (from the middle of a deep heap, and from inside a drained batch) against a
+// std::set of (t, key, id), and requires every dispatched event to be the
+// set's minimum at that moment, through run_next, run_until and
+// run_until_exclusive. Several thousand events stay pending, so sifts cross
+// six or more levels of the 4-ary heap.
+class SchedulerOracle {
+ public:
+  explicit SchedulerOracle(std::uint64_t seed) : rng_(seed) {}
+
+  static constexpr std::size_t kHold = 6000;  // initial population
+
+  void run() {
+    for (std::size_t i = 0; i < kHold; ++i)
+      schedule(draw_time(), rng_.bernoulli(0.2));
+    for (int round = 0; round < 60; ++round) {
+      driver_ops();
+      switch (round % 3) {
+        case 0: {
+          for (int i = 0; i < 300; ++i) {
+            const bool had = !model_.empty();
+            const std::uint64_t before = fired_;
+            ASSERT_EQ(s_.run_next(), had);
+            ASSERT_EQ(fired_, before + (had ? 1 : 0));
+          }
+          break;
+        }
+        case 1: {
+          const Time bound = next_bound();
+          s_.run_until(bound);
+          ASSERT_TRUE(model_.empty() || std::get<0>(*model_.begin()) > bound);
+          ASSERT_EQ(s_.now(), bound);
+          break;
+        }
+        default: {
+          const Time bound = next_bound();
+          const Time was = s_.now();
+          s_.run_until_exclusive(bound);
+          ASSERT_TRUE(model_.empty() ||
+                      std::get<0>(*model_.begin()) >= bound);
+          ASSERT_GE(s_.now(), was);
+          ASSERT_LT(s_.now(), bound);
+          break;
+        }
+      }
+      ASSERT_EQ(s_.pending(), model_.size());
+      ASSERT_EQ(mismatches_, 0u) << "first wrong dispatch: #" << first_bad_;
+      min_pending_ = std::min(min_pending_, model_.size());
+    }
+    spawning_ = false;
+    while (s_.run_next()) {
+    }
+    EXPECT_TRUE(model_.empty());
+    EXPECT_EQ(s_.pending(), 0u);
+  }
+
+  std::uint64_t mismatches() const { return mismatches_; }
+  std::uint64_t first_bad() const { return first_bad_; }
+  std::uint64_t fired() const { return fired_; }
+  std::uint64_t batch_cancels() const { return batch_cancels_; }
+  std::uint64_t keyed() const { return keyed_; }
+  std::size_t min_pending() const { return min_pending_; }
+
+ private:
+  using Key = std::tuple<Time, std::uint64_t, std::size_t>;
+  static constexpr double kGrid = 16.0;  // ticks per second; exact in binary
+
+  // Half the events land on a coarse absolute grid (heavy ties; grid points
+  // behind the clock clamp to now), half at continuous offsets.
+  Time draw_time() {
+    const Time t = s_.now() + rng_.uniform(0.0, 4.0);
+    return rng_.bernoulli(0.5) ? std::floor(t * kGrid) / kGrid : t;
+  }
+
+  // Unique explicit key below kLocalLane: random high bits, counter low bits.
+  std::uint64_t draw_key() {
+    return (rng_.uniform_int(0, (1ull << 31) - 1) << 24) | keyed_++;
+  }
+
+  void schedule(Time t, bool keyed) {
+    const std::size_t id = handles_.size();
+    const Time at = t < s_.now() ? s_.now() : t;
+    const std::uint64_t key =
+        keyed ? draw_key() : Scheduler::kLocalLane | ++local_seq_;
+    auto cb = [this, id] { on_fire(id); };
+    handles_.push_back(keyed ? s_.schedule_at_keyed(t, key, std::move(cb))
+                             : s_.schedule_at(t, std::move(cb)));
+    keys_.emplace_back(at, key, id);
+    done_.push_back(false);
+    model_.insert(keys_.back());
+  }
+
+  void cancel(std::size_t id) {
+    const bool ok = s_.cancel(handles_[id]);
+    if (ok != !done_[id]) note_mismatch();
+    if (ok) {
+      done_[id] = true;
+      model_.erase(keys_[id]);
+    }
+  }
+
+  void note_mismatch() {
+    if (mismatches_++ == 0) first_bad_ = fired_;
+  }
+
+  void on_fire(std::size_t id) {
+    ++fired_;
+    if (model_.empty() || *model_.begin() != keys_[id] ||
+        s_.now() != std::get<0>(keys_[id]) || done_[id])
+      note_mismatch();
+    done_[id] = true;
+    model_.erase(keys_[id]);
+    if (!spawning_) return;
+    // Cancel a pending event due at this instant: inside run_until it sits
+    // drained in the current batch, inside run_next it is still in the heap.
+    bool replace = false;
+    if (rng_.bernoulli(0.3)) {
+      auto it = model_.lower_bound(Key{s_.now(), 0, 0});
+      for (auto hops = rng_.uniform_int(0, 3);
+           hops > 0 && it != model_.end() && std::next(it) != model_.end() &&
+           std::get<0>(*std::next(it)) == s_.now();
+           --hops)
+        ++it;
+      if (it != model_.end() && std::get<0>(*it) == s_.now()) {
+        ++batch_cancels_;
+        cancel(std::get<2>(*it));
+        replace = true;
+      }
+    }
+    // Follow-ups: 0-2 children (one on average, plus one replacing a
+    // cancelled event, so the population holds), some at this very instant
+    // (a later batch). Keyed ones go strictly into the future: a keyed event
+    // at this instant would sort before the rest of the drained batch, and
+    // the parallel engine only imports keyed events between run calls.
+    const double u = rng_.uniform();
+    const int kids = (u < 0.2 ? 0 : u < 0.8 ? 1 : 2) + (replace ? 1 : 0);
+    for (int k = 0; k < kids; ++k) {
+      if (rng_.bernoulli(0.15)) {
+        schedule(s_.now(), false);
+      } else if (rng_.bernoulli(0.2)) {
+        const Time t = std::floor(s_.now() * kGrid) / kGrid +
+                       static_cast<Time>(rng_.uniform_int(1, 64)) / kGrid;
+        schedule(t, true);
+      } else {
+        schedule(draw_time(), false);
+      }
+    }
+    // A handle of an event that already ran (this one) must stay dead.
+    if (rng_.bernoulli(0.05)) cancel(id);
+  }
+
+  // Schedules and cancels from outside any callback. A victim is the first
+  // live event at or after a random instant, so it sits anywhere in the
+  // heap; every tenth cancel reuses a random, usually stale, handle.
+  void driver_ops() {
+    for (int i = 0; i < 60; ++i) {
+      const bool past = rng_.bernoulli(0.1);
+      schedule(past ? s_.now() - 1.0 : draw_time(), rng_.bernoulli(0.3));
+    }
+    for (int i = 0; i < 40; ++i) {
+      if (i % 10 == 0) {
+        cancel(static_cast<std::size_t>(
+            rng_.uniform_int(0, handles_.size() - 1)));
+        continue;
+      }
+      const auto it = model_.lower_bound(Key{draw_time(), 0, 0});
+      if (it != model_.end()) cancel(std::get<2>(*it));
+    }
+  }
+
+  Time next_bound() {
+    const Time t = s_.now() + rng_.uniform(0.2, 0.6);
+    return rng_.bernoulli(0.5) ? std::floor(t * kGrid) / kGrid : t;
+  }
+
+  Rng rng_;
+  Scheduler s_;
+  std::vector<Scheduler::EventId> handles_;
+  std::vector<Key> keys_;
+  std::vector<bool> done_;  // ran or cancelled
+  std::set<Key> model_;
+  std::uint64_t local_seq_ = 0;
+  std::uint64_t keyed_ = 0;
+  std::uint64_t fired_ = 0;
+  std::uint64_t batch_cancels_ = 0;
+  std::uint64_t mismatches_ = 0;
+  std::uint64_t first_bad_ = 0;
+  std::size_t min_pending_ = std::numeric_limits<std::size_t>::max();
+  bool spawning_ = true;
+};
+
+TEST_P(SchedulerPropertyTest, DispatchSequenceMatchesOrderedSetOracle) {
+  SchedulerOracle oracle(GetParam());
+  oracle.run();
+  EXPECT_EQ(oracle.mismatches(), 0u) << "first wrong dispatch: #"
+                                     << oracle.first_bad();
+  EXPECT_GE(oracle.min_pending(), 5000u) << "heap too shallow to test sifts";
+  EXPECT_GT(oracle.fired(), 30000u);
+  EXPECT_GT(oracle.batch_cancels(), 1000u);
+  EXPECT_GT(oracle.keyed(), 1000u);
 }
 
 TEST(Timer, FiresOnce) {
