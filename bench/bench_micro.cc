@@ -369,6 +369,7 @@ void BM_EndToEndMultiBottleneck(benchmark::State& state) {
   double t = 3.0;
   const std::int64_t before =
       static_cast<std::int64_t>(m.network().total_dispatched());
+  const auto sync_before = m.network().engine_stats();
   for (auto _ : state) {
     t += 1.0;
     m.network().run_until(t);
@@ -378,10 +379,32 @@ void BM_EndToEndMultiBottleneck(benchmark::State& state) {
   state.SetItemsProcessed(events);
   state.counters["events/s"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
+  // Engine synchronization per shard, averaged over shards: protocol rounds
+  // per simulated second, the share of them that found no progress, and
+  // the progressing ones per simulated second (one per publication period
+  // when nothing blocks). Timing-dependent above one worker, so they live
+  // here and not in reports.
+  const auto sync_after = m.network().engine_stats();
+  if (!sync_after.empty()) {
+    double rounds = 0, idle = 0;
+    for (std::size_t s = 0; s < sync_after.size(); ++s) {
+      rounds += static_cast<double>(sync_after[s].rounds - sync_before[s].rounds);
+      idle += static_cast<double>(sync_after[s].idle_rounds -
+                                  sync_before[s].idle_rounds);
+    }
+    const double per_shard_sim_s =
+        static_cast<double>(sync_after.size()) *
+        static_cast<double>(state.iterations());
+    state.counters["rounds/sim-s"] = rounds / per_shard_sim_s;
+    state.counters["idle_share"] = rounds > 0 ? idle / rounds : 0.0;
+    state.counters["progress/sim-s"] = (rounds - idle) / per_shard_sim_s;
+  }
 }
 BENCHMARK(BM_EndToEndMultiBottleneck)
     ->Arg(0)
     ->Arg(1)
+    ->Arg(2)
+    ->Arg(3)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

@@ -176,6 +176,13 @@ class Network {
   /// unsharded). Deterministic for any thread count.
   std::uint64_t total_dispatched() const;
 
+  /// Per-shard engine synchronization counters (see sim::Engine::stats);
+  /// empty until finalize_shards() has built the engine. Only `events` is
+  /// deterministic across thread counts, so keep these out of reports.
+  std::vector<sim::Engine::ShardStats> engine_stats() const {
+    return engine_ ? engine_->stats() : std::vector<sim::Engine::ShardStats>{};
+  }
+
  private:
   struct Edge {
     NodeId from, to;

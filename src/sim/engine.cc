@@ -1,5 +1,6 @@
 #include "sim/engine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <exception>
 #include <limits>
@@ -19,7 +20,7 @@ int Engine::add_shard(Scheduler* sched, std::function<void()> drain) {
   Shard s;
   s.sched = sched;
   s.drain = std::move(drain);
-  s.clock = std::make_unique<std::atomic<Time>>(0.0);
+  s.clock = std::make_unique<Clock>();
   shards_.push_back(std::move(s));
   return static_cast<int>(shards_.size()) - 1;
 }
@@ -29,11 +30,21 @@ void Engine::add_dependency(int from, int to, Time lookahead) {
   assert(to >= 0 && static_cast<std::size_t>(to) < shards_.size());
   assert(from != to && "a shard has zero lookahead to itself");
   require_positive("Engine", "lookahead", lookahead);
-  shards_[static_cast<std::size_t>(to)].inbound.push_back(
-      Dep{shards_[static_cast<std::size_t>(from)].clock.get(), lookahead});
+  Shard& s = shards_[static_cast<std::size_t>(to)];
+  s.inbound.push_back(
+      Dep{&shards_[static_cast<std::size_t>(from)].clock->t, lookahead});
+  s.period = std::min(s.period, kPublishFraction * lookahead);
+}
+
+std::vector<Engine::ShardStats> Engine::stats() const {
+  std::vector<ShardStats> out;
+  out.reserve(shards_.size());
+  for (const Shard& s : shards_) out.push_back(s.stats);
+  return out;
 }
 
 bool Engine::step(Shard& s, Time T) {
+  ++s.stats.rounds;
   // 1. Read peer clocks (acquire) to establish the safe execution horizon.
   Time horizon = kInf;
   for (const Dep& d : s.inbound) {
@@ -42,23 +53,30 @@ bool Engine::step(Shard& s, Time T) {
   }
   // 2. Import everything those peers pushed before publishing their clocks.
   if (s.drain) s.drain();
-  // 3/4. Run below the horizon, then publish the new guarantee.
-  if (horizon > T) {
-    // Final round: all arrivals <= T are visible (future ones are >=
-    // horizon > T), so finish inclusively and advance the clock to T.
+  // 3. Run at most one publication period at a time, so neighbours see this
+  //    clock move every q rather than jump a whole horizon per round.
+  const Time limit = std::min(horizon, s.executed + s.period);
+  const std::uint64_t before = s.sched->dispatched();
+  // 4/5. Run below the limit, then publish the new guarantee.
+  if (limit > T) {
+    // Final round: horizon >= limit > T, so all arrivals <= T are visible
+    // (future ones are >= horizon); finish inclusively at T.
     s.sched->run_until(T);
-    s.executed = T;  // run_until is inclusive; nothing at or below T remains
-    s.clock->store(kInf, std::memory_order_release);
+    // run_until is inclusive: nothing at or below T remains. A call with T
+    // below what already ran leaves the shard where it was.
+    s.executed = std::max(s.executed, T);
+    s.clock->t.store(kInf, std::memory_order_release);
     s.done = true;
-    return true;
+  } else if (limit > s.executed) {
+    s.sched->run_until_exclusive(limit);
+    s.executed = limit;
+    s.clock->t.store(limit, std::memory_order_release);
+  } else {
+    ++s.stats.idle_rounds;
+    return false;  // peers have not advanced since our last round
   }
-  if (horizon > s.executed) {
-    s.sched->run_until_exclusive(horizon);
-    s.executed = horizon;
-    s.clock->store(horizon, std::memory_order_release);
-    return true;
-  }
-  return false;  // peers have not advanced since our last round
+  s.stats.events += s.sched->dispatched() - before;
+  return true;
 }
 
 void Engine::run_until(Time T, int threads) {
@@ -91,10 +109,13 @@ void Engine::run_until(Time T, int threads) {
           }
         }
         // No shard of ours could advance: peers on other workers hold the
-        // minimum clock. Yield instead of spinning hot; rounds are long
-        // enough (one lookahead of simulated work) that wake-up latency is
-        // noise, and this keeps oversubscribed runs from thrashing.
-        if (!progressed && remaining > 0) std::this_thread::yield();
+        // minimum clock. Yield instead of spinning hot; this keeps
+        // oversubscribed runs from thrashing.
+        if (!progressed && remaining > 0) {
+          for (Shard* s : mine)
+            if (!s->done) ++s->stats.yields;
+          std::this_thread::yield();
+        }
       }
     } catch (...) {
       {
@@ -105,7 +126,7 @@ void Engine::run_until(Time T, int threads) {
       // Unblock peers waiting on this shard's clock: publish +inf so their
       // horizons open up and they observe the abort flag promptly.
       for (Shard* s : mine)
-        if (!s->done) s->clock->store(kInf, std::memory_order_release);
+        if (!s->done) s->clock->t.store(kInf, std::memory_order_release);
     }
   };
 
@@ -126,7 +147,7 @@ void Engine::run_until(Time T, int threads) {
   // windows run the engine repeatedly over successive intervals).
   for (Shard& s : shards_) {
     s.done = false;
-    s.clock->store(s.executed, std::memory_order_relaxed);
+    s.clock->t.store(s.executed, std::memory_order_relaxed);
   }
   if (first_error) std::rethrow_exception(first_error);
 }

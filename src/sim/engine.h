@@ -13,23 +13,36 @@
 //      (acquire-load of each peer's published clock; +inf with no inbound)
 //   2. drain()  — import every visible cross-shard message into the local
 //      scheduler (the transport lives in the net layer; see net/pdes.h)
-//   3. run_until_exclusive(horizon) — execute strictly below the horizon
-//   4. publish own clock = horizon (release-store)
+//   3. limit = min(horizon, executed + q), where q, the publication period,
+//      is kPublishFraction of the shard's smallest inbound lookahead
+//   4. run_until_exclusive(limit) — execute strictly below the limit
+//   5. publish own clock = limit (release-store)
+//
+// Why chunk at q instead of running straight to the horizon: a shard that
+// runs to the horizon publishes once per round, so on a chain its
+// neighbours see it jump by up to two lookaheads at a time. The shards then
+// leapfrog — even and odd shards take turns while the other half waits on
+// them, and the run uses about half its workers. Publishing every q keeps
+// neighbours within about q of each other, so they run at the same time.
 //
 // Safety: a peer release-publishes clock c only after pushing every message
 // it produced below c, and the consumer acquire-loads c before draining, so
 // when the consumer executes up to min(c_i + L_i) every message that could
-// land in that range is already in its heap. Step 4's release pairs with
-// step 1's acquire on the other side for messages produced in step 3.
+// land in that range is already in its heap. Running only to limit <=
+// horizon is safe a fortiori. Step 5's release pairs with step 1's acquire
+// on the other side for messages produced in step 4.
 //
 // Liveness: the globally earliest shard always has horizon strictly above
-// its own clock (lookaheads are required positive), so some shard can make
-// progress in every round; workers owning multiple shards round-robin them
-// and yield briefly when a full pass makes no progress.
+// its own clock (lookaheads are required positive), and q > 0, so its limit
+// is above its clock too: some shard makes progress in every round. Workers
+// owning several shards round-robin them, one chunk per shard per pass, and
+// yield briefly when a full pass makes no progress.
 //
-// Termination: once horizon > T, every message with arrival <= T is already
-// visible (future arrivals are >= horizon), so the shard drains once more,
-// runs inclusively to T, publishes +inf, and is done.
+// Termination: once limit > T (which implies horizon > T, as limit <=
+// horizon), every message with arrival <= T is already visible (future
+// arrivals are >= horizon), so the shard drains once more, runs inclusively
+// to T, publishes +inf, and is done. A shard thus finishes after at least
+// (T - start) / q rounds that make progress.
 //
 // Determinism: the engine decides only *when* a shard may run, never the
 // order of its events — that is fixed by each scheduler's (time, key)
@@ -40,7 +53,9 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -51,6 +66,22 @@ namespace pert::sim {
 
 class Engine {
  public:
+  /// Publication period q as a fraction of a shard's smallest inbound
+  /// lookahead (see the header comment). Chosen by A/B from {1/2, 1/4,
+  /// 1/8} on the Fig. 11 chain; docs/performance.md has the numbers.
+  static constexpr double kPublishFraction = 0.5;
+
+  /// Synchronization counters of one shard, cumulative over every
+  /// run_until call. `events` is deterministic; the rest depend on thread
+  /// timing except at one worker, where every count is a function of the
+  /// scenario.
+  struct ShardStats {
+    std::uint64_t rounds = 0;       // protocol rounds (step calls)
+    std::uint64_t idle_rounds = 0;  // rounds that could not advance the clock
+    std::uint64_t yields = 0;       // owning worker yielded, this shard blocked
+    std::uint64_t events = 0;       // events this shard dispatched
+  };
+
   /// Registers a shard. `drain` imports all currently visible cross-shard
   /// messages into `sched` (keyed; see header comment) and is only ever
   /// called from the worker thread owning the shard. Returns the shard id.
@@ -63,6 +94,9 @@ class Engine {
   void add_dependency(int from, int to, Time lookahead);
 
   std::size_t num_shards() const noexcept { return shards_.size(); }
+
+  /// Per-shard counters, indexed by shard id. Call between run_until calls.
+  std::vector<ShardStats> stats() const;
 
   /// Runs every shard through simulated time T (inclusive, matching
   /// Scheduler::run_until) on `threads` workers. Shards are distributed
@@ -77,16 +111,29 @@ class Engine {
     Time lookahead;
   };
 
-  struct Shard {
+  /// A shard's published clock on a cache line of its own: neighbours poll
+  /// it every round, and a line shared with another heap object would be
+  /// invalidated by unrelated writes (glibc's smallest chunk is 32 bytes,
+  /// so a plain heap-allocated atomic does not get a line to itself).
+  struct alignas(64) Clock {
+    std::atomic<Time> t{0.0};
+  };
+
+  /// Cache-line aligned: every field but `clock` is written by the owning
+  /// worker every round, so two shards owned by different workers must not
+  /// share a line.
+  struct alignas(64) Shard {
     Scheduler* sched = nullptr;
     std::function<void()> drain;
     std::vector<Dep> inbound;
     /// Published guarantee: this shard will never again produce a message
-    /// from an event below this time. Padded out by unique_ptr allocation
-    /// granularity; read with acquire by consumers, written with release.
-    std::unique_ptr<std::atomic<Time>> clock;
+    /// from an event below this time. Read with acquire by consumers,
+    /// written with release. Heap-held so the vector of shards can grow.
+    std::unique_ptr<Clock> clock;
+    Time period = std::numeric_limits<Time>::infinity();  // q (see above)
     Time executed = 0.0;  // exclusive upper bound already run (worker-local)
     bool done = false;    // worker-local
+    ShardStats stats;     // worker-local
   };
 
   /// One synchronization round for shard s. Returns true when the shard

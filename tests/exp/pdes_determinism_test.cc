@@ -85,6 +85,32 @@ TEST(PdesDeterminism, MultiBottleneckResultsIndependentOfThreadCount) {
   }
 }
 
+TEST(PdesDeterminism, EngineStatsPinThePublicationPeriod) {
+  // At one worker every engine count is deterministic: each router-cloud
+  // shard advances at most q = kPublishFraction * router_link_delay per
+  // progressing round, so reaching T takes at least T / q such rounds.
+  // Event counts match for every worker count.
+  MultiBottleneck m1(chain_cfg(1));
+  MultiBottleneck m2(chain_cfg(2));
+  EXPECT_EQ(m1.network().engine_stats().size(), 3u);
+  const double T = 2.0;
+  m1.network().run_until(T);
+  m2.network().run_until(T);
+  const auto s1 = m1.network().engine_stats();
+  const auto s2 = m2.network().engine_stats();
+  ASSERT_EQ(s1.size(), 3u);
+  ASSERT_EQ(s2.size(), 3u);
+  const double q = sim::Engine::kPublishFraction * chain_cfg(1).router_link_delay;
+  std::uint64_t events = 0;
+  for (std::size_t s = 0; s < s1.size(); ++s) {
+    EXPECT_GE(static_cast<double>(s1[s].rounds - s1[s].idle_rounds), T / q)
+        << "shard " << s;
+    EXPECT_EQ(s1[s].events, s2[s].events) << "shard " << s;
+    events += s1[s].events;
+  }
+  EXPECT_EQ(events, m1.network().total_dispatched());
+}
+
 TEST(PdesDeterminism, ShardedRunActuallyMovesTraffic) {
   // Guard against a vacuous oracle: the sharded run must do real work.
   Dumbbell d(dumbbell_cfg(2));

@@ -10,9 +10,10 @@
 # with each assignment. A workload that keeps more than one CPU busy (the
 # parallel engine, e.g. chain-pert-4t) cannot share the machine with its twin,
 # so its pairs run interleaved instead: A then B on odd pairs, B then A on
-# even ones. Which kind a workload is comes from a one-second probe of
-# DRIVER_A at --tiny size: CPU time over wall time above 1.5 means
-# interleaved. Every run lasts BENCHMARK.json's run_seconds.
+# even ones. Which kind a workload is comes from three one-second probes of
+# DRIVER_A at --tiny size, each printed: CPU time over wall time above 1.5 in
+# any of them means interleaved. Every run lasts BENCHMARK.json's
+# run_seconds.
 #
 # For every end-to-end metric in BENCHMARK.json it prints each pair's B/A
 # ratio, the median ratio, how many pairs B won (by the metric's "better"
@@ -25,7 +26,7 @@
 #   DRIVER_A/B  perfbench_driver binaries (python3 perfbench/run.py builds one
 #               into .bench_build/ of its checkout)
 #   WORKLOAD    a workload name, e.g. dumbbell-web-red
-#   N           number of pairs
+#   N           number of pairs; 0 runs only the probe and prints its verdict
 #   FIRST_SEED  seed of pairs 1 and 2 (default 1); pick fresh seeds to
 #               confirm a claim on inputs the change was not tuned on
 set -euo pipefail
@@ -46,22 +47,30 @@ done
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-# CPUs the workload keeps busy: CPU time over wall time of a tiny run.
-cpus=$(python3 - "$DRIVER_A" "$WORKLOAD" <<'PY'
-import resource, subprocess, sys, time
-t0 = time.monotonic()
-subprocess.run([sys.argv[1], "--workload", sys.argv[2], "--seed", "1",
-                "--seconds", "1", "--trace", "0", "--tiny"],
-               stdout=subprocess.DEVNULL, check=True)
-wall = time.monotonic() - t0
-r = resource.getrusage(resource.RUSAGE_CHILDREN)
-print(f"{(r.ru_utime + r.ru_stime) / wall:.2f}")
+# CPUs the workload keeps busy: CPU time over wall time of a tiny run. One
+# probe can read ~1 for a parallel workload when the host briefly starves its
+# workers, and pairing such a workload simultaneously would pin all of its
+# workers to one CPU, so the largest of three probes decides.
+probes=$(python3 - "$DRIVER_A" "$WORKLOAD" <<'PY'
+import os, subprocess, sys, time
+for _ in range(3):
+    t0 = time.monotonic()
+    p = subprocess.Popen([sys.argv[1], "--workload", sys.argv[2], "--seed",
+                          "1", "--seconds", "1", "--trace", "0", "--tiny"],
+                         stdout=subprocess.DEVNULL)
+    _, status, r = os.wait4(p.pid, 0)
+    wall = time.monotonic() - t0
+    if status != 0:
+        sys.exit(1)
+    print(f"{(r.ru_utime + r.ru_stime) / wall:.2f}")
 PY
 ) || { echo "perfbench_ab: probe run of $WORKLOAD failed" >&2; exit 1; }
+cpus=$(sort -g <<< "$probes" | tail -n 1)
 interleaved=0
 [ "$(python3 -c "print($cpus > 1.5)")" = True ] && interleaved=1
-echo "probe: $WORKLOAD keeps $cpus CPUs busy," \
+echo "probe: $WORKLOAD keeps" $probes "CPUs busy (max $cpus)," \
      "so pairs run $( ((interleaved)) && echo interleaved || echo simultaneously)" >&2
+((N > 0)) || exit 0
 
 # run SIDE DRIVER SEED OUT [CPU]: one driver run, last stdout line kept.
 run() {
