@@ -37,7 +37,8 @@ int main() {
     exp::Dumbbell d(cfg);
     const exp::WindowMetrics m = d.measure_window(20.0, 60.0);
     t.row({std::string(exp::to_string(scheme)),
-           exp::router_aqm(scheme) ? "yes (AQM queue)" : "no (DropTail)",
+           exp::SchemeSpec(scheme).router_aqm() ? "yes (AQM queue)"
+                                                : "no (DropTail)",
            exp::fmt(m.avg_queue_pkts, "%.1f"), exp::fmt(m.drop_rate, "%.2e"),
            std::to_string(m.ecn_marks), exp::fmt(100 * m.utilization, "%.1f"),
            exp::fmt(m.jain, "%.3f"), std::to_string(m.early_responses)});

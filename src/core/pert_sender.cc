@@ -15,21 +15,11 @@ PertState& st(void* priv) { return *static_cast<PertState*>(priv); }
 void pert_init(tcp::CcHost& h, void* priv) {
   const auto* arg = static_cast<const PertParams*>(h.ops().init_arg);
   PertParams params = arg != nullptr ? *arg : PertParams{};
+  params.validate();
   // Brace-init evaluates left to right, reproducing the legacy member
   // order: params, estimator, curve, then the RNG fork.
-  auto* s = new (priv) PertState{params, SrttEstimator(params.srtt_alpha),
-                                 ResponseCurve(params),
-                                 h.net().rng().fork()};
-  s->params.validate();
-  if (h.arena_slot() >= 0) {
-    tcp::FlowArena& a = *h.arena();
-    s->estimator.bind(&a.srtt99(h.arena_slot()), &a.min_rtt(h.arena_slot()),
-                      &a.srtt_seeded(h.arena_slot()));
-    s->last_early = &a.last_early(h.arena_slot());
-  } else {
-    s->last_early = &s->last_early_inline;
-  }
-  *s->last_early = PertState::kNeverEarly;  // arena lanes start at 0.0
+  new (priv) PertState{params, SrttEstimator(params.srtt_alpha),
+                       ResponseCurve(params), h.net().rng().fork()};
 }
 
 void pert_release(void* priv) { st(priv).~PertState(); }
@@ -88,9 +78,9 @@ void maybe_early_response(tcp::CcHost& h, PertState& s, double rtt) {
   // keep the ACK clock alive at tiny windows.
   if (h.in_recovery()) return;
   if (h.cwnd() <= s.params.min_cwnd_for_response) return;
-  if (s.params.limit_once_per_rtt && h.now() - *s.last_early < rtt) return;
+  if (s.params.limit_once_per_rtt && h.now() - s.last_early < rtt) return;
   h.multiplicative_decrease(s.params.early_beta);
-  *s.last_early = h.now();
+  s.last_early = h.now();
   h.note_early_response();
   if (tr && tr->wants(obs::Category::kPert, obs::Severity::kInfo))
     tr->instant(h.now(), obs::Category::kPert, obs::Severity::kInfo,

@@ -14,7 +14,6 @@
 #include "core/response_curve.h"
 #include "core/srtt_estimator.h"
 #include "sim/random.h"
-#include "tcp/flow_arena.h"
 #include "tcp/tcp_sender.h"
 
 namespace pert::core {
@@ -29,18 +28,14 @@ struct PertState {
   SrttEstimator estimator;
   ResponseCurve curve;
   sim::Rng rng;
-  /// Time of the last early response. A pointer for the same reason as
-  /// TcpSender::cwnd_ is a reference: it lives in the flow's arena row when
-  /// one exists.
-  sim::Time* last_early = nullptr;
-  sim::Time last_early_inline = kNeverEarly;
+  sim::Time last_early = kNeverEarly;  ///< time of the last early response
   sim::Time last_adapt = 0.0;
   int trace_region = 0;  ///< last T_min/T_max region reported to the tracer
 };
 
 /// The ops table. init forks the network RNG (same construction-time
-/// position as the legacy member initializer) and binds the estimator to
-/// the sender's arena row; same init_arg lifetime contract as cubic_ops.
+/// position as the legacy member initializer); same init_arg lifetime
+/// contract as cubic_ops.
 tcp::CongestionOps pert_ops(const PertParams& params);
 
 class PertSender final : public tcp::TcpSender {

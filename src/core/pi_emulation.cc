@@ -3,8 +3,6 @@
 #include <cmath>
 #include <new>
 
-#include "tcp/flow_arena.h"
-
 namespace pert::core {
 
 PiEmuDesign PiEmuDesign::for_path(double capacity_pps, double n_min,
@@ -56,6 +54,9 @@ void pi_sample(tcp::TcpSender& sender, PertPiState& s) {
 void pert_pi_init(tcp::CcHost& h, void* priv) {
   const auto& cfg = *static_cast<const PertPiConfig*>(h.ops().init_arg);
   tcp::TcpSender* sender = &h.sender();
+  cfg.design.validate();
+  sim::require_in("PertPiSender", "srtt_alpha", cfg.srtt_alpha, 0.0, 1.0);
+  sim::require_less("PertPiSender", "srtt_alpha", cfg.srtt_alpha, "1", 1.0);
   // Brace-init evaluates left to right, reproducing the legacy member
   // order: controller, estimator, RNG fork, then the timer.
   auto* s = new (priv) PertPiState{
@@ -64,14 +65,6 @@ void pert_pi_init(tcp::CcHost& h, void* priv) {
       sim::Timer(h.net().sched(), [sender, priv] {
         pi_sample(*sender, *static_cast<PertPiState*>(priv));
       })};
-  cfg.design.validate();
-  sim::require_in("PertPiSender", "srtt_alpha", cfg.srtt_alpha, 0.0, 1.0);
-  sim::require_less("PertPiSender", "srtt_alpha", cfg.srtt_alpha, "1", 1.0);
-  if (h.arena_slot() >= 0) {
-    tcp::FlowArena& a = *h.arena();
-    s->estimator.bind(&a.srtt99(h.arena_slot()), &a.min_rtt(h.arena_slot()),
-                      &a.srtt_seeded(h.arena_slot()));
-  }
   s->sample_timer.schedule_in(cfg.design.sample_interval);
 }
 

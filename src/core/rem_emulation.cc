@@ -2,8 +2,6 @@
 
 #include <new>
 
-#include "tcp/flow_arena.h"
-
 namespace pert::core {
 
 namespace {
@@ -18,6 +16,9 @@ void rem_sample(PertRemState& s) {
 
 void pert_rem_init(tcp::CcHost& h, void* priv) {
   const auto& cfg = *static_cast<const PertRemConfig*>(h.ops().init_arg);
+  cfg.design.validate();
+  sim::require_in("PertRemSender", "srtt_alpha", cfg.srtt_alpha, 0.0, 1.0);
+  sim::require_less("PertRemSender", "srtt_alpha", cfg.srtt_alpha, "1", 1.0);
   // Brace-init evaluates left to right, reproducing the legacy member
   // order: price machine, estimator, RNG fork, then the timer.
   auto* s = new (priv) PertRemState{
@@ -25,14 +26,6 @@ void pert_rem_init(tcp::CcHost& h, void* priv) {
       h.net().rng().fork(),
       sim::Timer(h.net().sched(),
                  [priv] { rem_sample(*static_cast<PertRemState*>(priv)); })};
-  cfg.design.validate();
-  sim::require_in("PertRemSender", "srtt_alpha", cfg.srtt_alpha, 0.0, 1.0);
-  sim::require_less("PertRemSender", "srtt_alpha", cfg.srtt_alpha, "1", 1.0);
-  if (h.arena_slot() >= 0) {
-    tcp::FlowArena& a = *h.arena();
-    s->estimator.bind(&a.srtt99(h.arena_slot()), &a.min_rtt(h.arena_slot()),
-                      &a.srtt_seeded(h.arena_slot()));
-  }
   s->sample_timer.schedule_in(cfg.design.sample_interval);
 }
 

@@ -3,14 +3,6 @@
 // Per-ACK RTT samples smoothed with a heavy-history EWMA; the estimated
 // propagation delay is the minimum raw sample, and the queueing-delay
 // estimate is their difference.
-//
-// Storage note: the three hot doubles (EWMA value, min RTT, seeded flag)
-// live behind pointers that default to inline members, so a stand-alone
-// estimator behaves exactly as before. bind() retargets them at external
-// struct-of-arrays lanes (tcp/flow_arena.h) so a many-flow scenario keeps
-// every flow's estimator state in contiguous cache lines. The arithmetic is
-// stats::Ewma's, reproduced verbatim — seeding, update order, and all —
-// so bound and inline estimators are bit-identical.
 #pragma once
 
 #include <algorithm>
@@ -19,49 +11,32 @@
 #include <string>
 
 #include "sim/sentinel.h"
+#include "stats/stats.h"
 
 namespace pert::core {
 
 class SrttEstimator {
  public:
-  explicit SrttEstimator(double alpha = 0.99) : alpha_(alpha) {}
-
-  // The default copy would leave the copy's pointers aimed at the source's
-  // inline fields; no caller copies estimators, so forbid it outright.
-  SrttEstimator(const SrttEstimator&) = delete;
-  SrttEstimator& operator=(const SrttEstimator&) = delete;
-
-  /// Retargets the hot state at external lanes (which must outlive this
-  /// object). Call before the first sample; resets the target lanes to the
-  /// unseeded state so a recycled arena row starts clean.
-  void bind(double* srtt, double* min_rtt, double* seeded) noexcept {
-    srtt_ = srtt;
-    min_ = min_rtt;
-    seeded_ = seeded;
-    reset();
-  }
+  /// `alpha` is the EWMA history weight, in [0, 1); callers validate it.
+  explicit SrttEstimator(double alpha = 0.99) : srtt_(alpha) {}
 
   void add_sample(double rtt) {
-    *min_ = std::min(*min_, rtt);
-    // stats::Ewma::add, verbatim (seeded flag widened to a 0.0/1.0 double
-    // so it packs into a uniform arena lane).
-    *srtt_ = (*seeded_ != 0.0) ? alpha_ * *srtt_ + (1.0 - alpha_) * rtt : rtt;
-    *seeded_ = 1.0;
+    min_ = std::min(min_, rtt);
+    srtt_.add(rtt);
   }
 
-  bool ready() const noexcept { return *seeded_ != 0.0; }
-  double srtt() const noexcept { return *srtt_; }
+  bool ready() const noexcept { return srtt_.seeded(); }
+  double srtt() const noexcept { return srtt_.value(); }
   /// Propagation-delay estimate P (minimum observed RTT).
-  double prop_delay() const noexcept { return *min_; }
+  double prop_delay() const noexcept { return min_; }
   /// Estimated queueing delay: srtt - P (>= 0).
   double queueing_delay() const noexcept {
-    return ready() ? std::max(0.0, *srtt_ - *min_) : 0.0;
+    return ready() ? std::max(0.0, srtt() - min_) : 0.0;
   }
 
   void reset() noexcept {
-    *srtt_ = 0.0;
-    *seeded_ = 0.0;
-    *min_ = std::numeric_limits<double>::infinity();
+    srtt_.reset();
+    min_ = std::numeric_limits<double>::infinity();
   }
 
   /// Numeric sentinel: once seeded, the EWMA and the propagation-delay
@@ -69,21 +44,16 @@ class SrttEstimator {
   /// poisons both forever). "" while healthy.
   std::string numeric_violation() const {
     if (!ready()) return {};
-    if (std::string v = sim::finite_violation("srtt99", *srtt_); !v.empty())
+    if (std::string v = sim::finite_violation("srtt99", srtt()); !v.empty())
       return v;
-    if (!(*min_ >= 0.0) || !std::isfinite(*min_))
-      return "min_rtt corrupt: " + std::to_string(*min_);
+    if (!(min_ >= 0.0) || !std::isfinite(min_))
+      return "min_rtt corrupt: " + std::to_string(min_);
     return {};
   }
 
  private:
-  double alpha_;
-  double srtt_inline_ = 0.0;
-  double min_inline_ = std::numeric_limits<double>::infinity();
-  double seeded_inline_ = 0.0;
-  double* srtt_ = &srtt_inline_;
-  double* min_ = &min_inline_;
-  double* seeded_ = &seeded_inline_;
+  stats::Ewma srtt_;
+  double min_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace pert::core

@@ -19,24 +19,12 @@ namespace pert::dist {
 
 using runner::JsonValue;
 
-namespace {
-
-/// Lowercase fixed-width hex of a CRC32 (the journal's "hex8" spelling).
-std::string crc_hex8(std::uint32_t crc) {
-  static const char* const kHex = "0123456789abcdef";
-  std::string out(8, '0');
-  for (int i = 7; i >= 0; --i, crc >>= 4) out[static_cast<std::size_t>(i)] = kHex[crc & 0xfu];
-  return out;
-}
-
-}  // namespace
-
 std::string frame_message(const JsonValue& msg) {
   std::string payload = msg.dump();  // compact: contains no newline
   std::string out = std::to_string(payload.size());
   out.reserve(out.size() + payload.size() + 11);
   out += ' ';
-  out += crc_hex8(sim::crc32(payload));
+  out += sim::crc_hex8(sim::crc32(payload));
   out += ' ';
   out += payload;
   out += '\n';
@@ -79,27 +67,16 @@ std::optional<JsonValue> FrameReader::next() {
   ++p;  // consume the space
   // Parse the "<crc32-hex8> " checksum field.
   if (buf_.size() - p < 9) return std::nullopt;  // checksum incomplete
-  std::uint32_t want_crc = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    const char c = buf_[p + i];
-    std::uint32_t nibble;
-    if (c >= '0' && c <= '9') {
-      nibble = static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = static_cast<std::uint32_t>(c - 'a') + 10;
-    } else {
-      throw std::runtime_error("malformed frame checksum field");
-    }
-    want_crc = (want_crc << 4) | nibble;
-  }
-  if (buf_[p + 8] != ' ')
+  const std::optional<std::uint32_t> want_crc =
+      sim::parse_crc_hex8(std::string_view(buf_).substr(p, 8));
+  if (!want_crc || buf_[p + 8] != ' ')
     throw std::runtime_error("malformed frame checksum field");
   p += 9;
   if (buf_.size() - p < len + 1) return std::nullopt;  // payload incomplete
   const std::string_view payload(buf_.data() + p, len);
   if (buf_[p + len] != '\n')
     throw std::runtime_error("frame payload not newline-terminated");
-  if (sim::crc32(payload) != want_crc)
+  if (sim::crc32(payload) != *want_crc)
     throw std::runtime_error(
         "frame checksum mismatch: payload corrupted in transit");
   pos_ = p + len + 1;

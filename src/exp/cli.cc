@@ -187,15 +187,7 @@ double parse_rate(std::string_view s) {
 }
 
 Scheme parse_scheme(std::string_view s) {
-  if (s == "pert") return Scheme::kPert;
-  if (s == "pert-pi") return Scheme::kPertPi;
-  if (s == "pert-rem") return Scheme::kPertRem;
-  if (s == "vegas") return Scheme::kVegas;
-  if (s == "sack" || s == "sack-droptail") return Scheme::kSackDroptail;
-  if (s == "sack-red") return Scheme::kSackRedEcn;
-  if (s == "sack-pi") return Scheme::kSackPiEcn;
-  if (s == "sack-rem") return Scheme::kSackRemEcn;
-  if (s == "sack-avq") return Scheme::kSackAvqEcn;
+  if (const std::optional<Scheme> scheme = legacy_scheme(s)) return *scheme;
   throw std::invalid_argument("unknown scheme: " + std::string(s));
 }
 

@@ -93,17 +93,6 @@ Dumbbell::Dumbbell(DumbbellConfig cfg)
   next_flow_ = cfg_.flow_id_base;
   cfg_.tcp.ecn = cfg_.scheme.ecn;
 
-  // Struct-of-arrays arenas for the hot per-flow state, pre-sized for the
-  // configured flow population (later add_flows cohorts that overflow fall
-  // back to inline storage — an optimization lost, not an error).
-  const std::int32_t total_paths =
-      cfg_.num_fwd_flows + cfg_.num_rev_flows + cfg_.num_web_sessions;
-  const std::int32_t n_arenas = net_.sharded() ? kFlowShards : 1;
-  const std::int32_t per_arena =
-      std::max(1, (total_paths + n_arenas - 1) / n_arenas);
-  for (std::int32_t i = 0; i < n_arenas; ++i)
-    arenas_.push_back(std::make_unique<tcp::FlowArena>(per_arena));
-
   const double seg_bytes = cfg_.tcp.seg_bytes();
 
   double min_rtt = cfg_.rtt;
@@ -238,7 +227,6 @@ tcp::TcpSender* Dumbbell::make_sender(net::FlowId flow, bool force_sack) {
   cx.net = &net_;
   cx.tcp = cfg_.tcp;
   cx.tcp.ecn = force_sack ? false : cfg_.scheme.ecn;
-  cx.tcp.arena = cur_arena_;
   cx.flow = flow;
   cx.pps = cfg_.bottleneck_bps / (8.0 * cfg_.tcp.seg_bytes());
   cx.n_flows = std::max(1, cfg_.num_fwd_flows);
@@ -262,11 +250,9 @@ tcp::TcpSender* Dumbbell::add_flow_path(net::Node* edge_src,
   // access queues, sink, sender (and the timers they capture) — belongs to
   // it. Round-robin over a FIXED shard count so the layout (and with it the
   // cross-shard event keys) never depends on the worker-thread count.
-  const std::int32_t lane =
-      net_.sharded() ? next_flow_shard_++ % kFlowShards : 0;
   std::optional<net::Network::ShardCursor> shard_scope;
-  if (net_.sharded()) shard_scope.emplace(net_, 2 + lane);
-  cur_arena_ = arenas_[static_cast<std::size_t>(lane)].get();
+  if (net_.sharded())
+    shard_scope.emplace(net_, 2 + next_flow_shard_++ % kFlowShards);
 
   // One-way budget: rtt/2 = access_src + bottleneck + access_dst.
   const double access_delay =

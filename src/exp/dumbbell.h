@@ -18,7 +18,6 @@
 #include "obs/obs.h"
 #include "sim/timer.h"
 #include "sim/watchdog.h"
-#include "tcp/flow_arena.h"
 #include "tcp/tcp_sender.h"
 #include "tcp/tcp_sink.h"
 #include "traffic/web_session.h"
@@ -184,13 +183,6 @@ class Dumbbell {
   net::FlowId next_flow_ = 0;
   /// Round-robin cursor assigning each flow path to an endpoint shard.
   std::int32_t next_flow_shard_ = 0;
-  /// Struct-of-arrays backing for per-flow hot state: one arena on the
-  /// classic path, one per endpoint shard when sharded (so parallel workers
-  /// never share a lane, or a cache line, across shards).
-  std::vector<std::unique_ptr<tcp::FlowArena>> arenas_;
-  /// Arena for the flow path currently under construction (set by
-  /// add_flow_path, consumed by make_sender).
-  tcp::FlowArena* cur_arena_ = nullptr;
   std::unique_ptr<sim::InvariantChecker> checker_;
 
   obs::Observability obs_;

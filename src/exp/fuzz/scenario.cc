@@ -9,24 +9,6 @@ namespace pert::exp::fuzz {
 
 namespace {
 
-/// CLI-vocabulary scheme names ("pert", "sack", ...): the spelling
-/// parse_scheme accepts, so scenario JSON round-trips through the same
-/// parser the pert_sim command line uses.
-std::string scheme_cli_name(Scheme s) {
-  switch (s) {
-    case Scheme::kPert: return "pert";
-    case Scheme::kPertPi: return "pert-pi";
-    case Scheme::kPertRem: return "pert-rem";
-    case Scheme::kVegas: return "vegas";
-    case Scheme::kSackDroptail: return "sack";
-    case Scheme::kSackRedEcn: return "sack-red";
-    case Scheme::kSackPiEcn: return "sack-pi";
-    case Scheme::kSackRemEcn: return "sack-rem";
-    case Scheme::kSackAvqEcn: return "sack-avq";
-  }
-  return "pert";
-}
-
 double num_or(const runner::JsonValue& obj, std::string_view key,
               double fallback) {
   const runner::JsonValue* v = obj.find(key);
@@ -57,7 +39,8 @@ runner::JsonValue to_json(const Scenario& s) {
   o.reserve(24);
   o.emplace_back("seed", runner::JsonValue(s.seed));
   o.emplace_back("topology", runner::JsonValue(to_string(s.topology)));
-  o.emplace_back("scheme", runner::JsonValue(scheme_cli_name(s.scheme)));
+  o.emplace_back("scheme",
+                 runner::JsonValue(std::string(legacy_name(s.scheme))));
   o.emplace_back("bottleneck_bps", runner::JsonValue(s.bottleneck_bps));
   o.emplace_back("rtt", runner::JsonValue(s.rtt));
   o.emplace_back("num_fwd_flows", runner::JsonValue(s.num_fwd_flows));

@@ -106,19 +106,6 @@ MultiBottleneck::MultiBottleneck(MultiBottleneckConfig cfg)
     }
   }
 
-  // Struct-of-arrays arenas for per-flow hot state: one per router cloud
-  // when sharded (senders homed on router i use arena i, so no two workers
-  // share a lane), one global arena otherwise. Cloud 0 homes two groups
-  // (its hop group and the long-haul group), hence the 2x per-shard size.
-  if (net_.sharded()) {
-    for (std::int32_t i = 0; i < cfg_.num_routers; ++i)
-      arenas_.push_back(
-          std::make_unique<tcp::FlowArena>(2 * cfg_.hosts_per_cloud));
-  } else {
-    arenas_.push_back(std::make_unique<tcp::FlowArena>(
-        cfg_.num_routers * cfg_.hosts_per_cloud));
-  }
-
   net::FlowId flow = 0;
   // Groups 0..n-2: cloud i -> cloud i+1. Last group: cloud 0 -> last cloud.
   groups_.resize(static_cast<std::size_t>(cfg_.num_routers));
@@ -146,7 +133,6 @@ MultiBottleneck::MultiBottleneck(MultiBottleneckConfig cfg)
         net_.add_agent<tcp::TcpSink>(dst, kPort, net_, cfg_.tcp);
       }
       net::Network::ShardCursor at_src(net_, shard_of(src_r));
-      cur_arena_ = arenas_[static_cast<std::size_t>(shard_of(src_r))].get();
       tcp::TcpSender* s = make_sender(flow++);
       src->bind(*s, kPort);
       s->connect(dst->id(), kPort);
@@ -208,7 +194,6 @@ tcp::TcpSender* MultiBottleneck::make_sender(net::FlowId flow) {
   tcp::CcContext cx;
   cx.net = &net_;
   cx.tcp = cfg_.tcp;
-  cx.tcp.arena = cur_arena_;
   cx.flow = flow;
   cx.pps = cfg_.router_link_bps / (8.0 * cfg_.tcp.seg_bytes());
   cx.n_flows = cfg_.hosts_per_cloud;

@@ -90,12 +90,6 @@ class MultiBottleneck {
   /// senders grouped by source hop: index 0..4 = cloud i -> cloud i+1,
   /// index 5 = cloud 1 -> cloud 6 long-haul.
   std::vector<std::vector<tcp::TcpSender*>> groups_;
-  /// Struct-of-arrays backing for per-flow hot state: arena i serves the
-  /// senders homed on router i when sharded; a single arena otherwise.
-  std::vector<std::unique_ptr<tcp::FlowArena>> arenas_;
-  /// Arena for the sender currently under construction (set in add_group,
-  /// consumed by make_sender).
-  tcp::FlowArena* cur_arena_ = nullptr;
   std::unique_ptr<sim::InvariantChecker> checker_;
 
   obs::Observability obs_;

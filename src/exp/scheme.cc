@@ -58,8 +58,9 @@ void ensure_scheme_modules() {
 
 namespace {
 
-/// Legacy paper scheme names accepted since the first CLI. New combinations
-/// use the "cc/qdisc" grammar instead of growing this table.
+/// Legacy paper scheme names accepted since the first CLI, one or more
+/// aliases per scheme; the first alias is the canonical spelling. New
+/// combinations use the "cc/qdisc" grammar instead of growing this table.
 const std::pair<std::string_view, Scheme> kLegacyNames[] = {
     {"pert", Scheme::kPert},
     {"pert-pi", Scheme::kPertPi},
@@ -86,9 +87,22 @@ const std::pair<std::string_view, Scheme> kLegacyNames[] = {
 
 }  // namespace
 
+std::optional<Scheme> legacy_scheme(std::string_view name) {
+  for (const auto& [alias, scheme] : kLegacyNames)
+    if (name == alias) return scheme;
+  return std::nullopt;
+}
+
+std::string_view legacy_name(Scheme s) {
+  for (const auto& [alias, scheme] : kLegacyNames)
+    if (scheme == s) return alias;
+  throw sim::ConfigError("legacy_name(Scheme): value outside the enumeration",
+                         "a Scheme was forged from an out-of-range integer");
+}
+
 SchemeSpec parse_scheme_spec(std::string_view text) {
-  for (const auto& [name, scheme] : kLegacyNames)
-    if (text == name) return SchemeSpec(scheme);
+  if (const std::optional<Scheme> legacy = legacy_scheme(text))
+    return SchemeSpec(*legacy);
 
   ensure_scheme_modules();
   auto& ccs = tcp::CcRegistry::instance();

@@ -10,6 +10,7 @@
 // did-you-mean suggestions for typos.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -48,14 +49,14 @@ constexpr std::string_view to_string(Scheme s) {
                          "a Scheme was forged from an out-of-range integer");
 }
 
-/// Does the scheme place an AQM at the bottleneck router?
-constexpr bool router_aqm(Scheme s) {
-  return s == Scheme::kSackRedEcn || s == Scheme::kSackPiEcn ||
-         s == Scheme::kSackRemEcn || s == Scheme::kSackAvqEcn;
-}
+/// The paper scheme a legacy command-line name denotes ("sack" and
+/// "sack-droptail" both give kSackDroptail), or nullopt for any other text.
+std::optional<Scheme> legacy_scheme(std::string_view name);
 
-/// Does the scheme's sender use ECN?
-constexpr bool sender_ecn(Scheme s) { return router_aqm(s); }
+/// Canonical legacy name of a paper scheme: its first alias ("sack" for
+/// kSackDroptail). Throws sim::ConfigError for a value outside the
+/// enumeration.
+std::string_view legacy_name(Scheme s);
 
 /// An open-ended scheme: a congestion-control module name (tcp::CcRegistry
 /// key), a queue-discipline name (net::QdiscRegistry key), and the ECN bit

@@ -53,12 +53,6 @@ void write_all(int fd, std::string_view data, const std::string& path) {
   }
 }
 
-std::string crc_hex(std::string_view payload) {
-  char buf[9];
-  std::snprintf(buf, sizeof buf, "%08x", sim::crc32(payload));
-  return buf;
-}
-
 JsonValue header_to_json(const JournalHeader& h) {
   JsonValue::Object o;
   o.emplace_back("journal", JsonValue("pert-runner-v1"));
@@ -118,17 +112,11 @@ bool decode_frame(std::string_view line, char& type, std::string_view& payload) 
   if (t != 'H' && t != 'R') return false;
   if (line[p + 1] != ' ') return false;
   p += 2;
-  const std::string_view crc_field = line.substr(p, 8);
-  if (line[p + 8] != ' ') return false;
-  std::uint32_t crc = 0;
-  for (char c : crc_field) {
-    crc <<= 4;
-    if (c >= '0' && c <= '9') crc |= static_cast<std::uint32_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') crc |= static_cast<std::uint32_t>(c - 'a' + 10);
-    else return false;
-  }
+  const std::optional<std::uint32_t> crc =
+      sim::parse_crc_hex8(line.substr(p, 8));
+  if (!crc || line[p + 8] != ' ') return false;
   const std::string_view body = line.substr(p + 9);
-  if (sim::crc32(body) != crc) return false;
+  if (sim::crc32(body) != *crc) return false;
   type = t;
   payload = body;
   return true;
@@ -149,7 +137,7 @@ std::string journal_frame(char type, const std::string& payload) {
   line += ' ';
   line += type;
   line += ' ';
-  line += crc_hex(payload);
+  line += sim::crc_hex8(sim::crc32(payload));
   line += ' ';
   line += payload;
   line += '\n';

@@ -1,5 +1,6 @@
 // CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320) for framing
-// durable on-disk records.
+// durable on-disk records and wire messages, plus the one codec for its
+// 8-character lowercase-hex field.
 //
 // The experiment runner's crash-safe journal checksums every record so a
 // torn tail (process killed mid-write) or a flipped byte (disk corruption)
@@ -11,6 +12,8 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <string_view>
 
 namespace pert::sim {
@@ -41,6 +44,33 @@ constexpr std::uint32_t crc32(std::string_view data, std::uint32_t crc = 0) {
     crc = detail::kCrc32Table[(crc ^ static_cast<unsigned char>(ch)) & 0xffu] ^
           (crc >> 8);
   return ~crc;
+}
+
+/// Fixed-width lowercase hex of a CRC32 ("cbf43926"): the checksum field of
+/// runner journal lines and dist protocol frames.
+inline std::string crc_hex8(std::uint32_t crc) {
+  std::string out(8, '0');
+  for (std::size_t i = 8; i-- > 0; crc >>= 4)
+    out[i] = "0123456789abcdef"[crc & 0xfu];
+  return out;
+}
+
+/// Inverse of crc_hex8: exactly eight characters of [0-9a-f]. Uppercase,
+/// any other character, and any other length give nullopt.
+constexpr std::optional<std::uint32_t> parse_crc_hex8(std::string_view s) {
+  if (s.size() != 8) return std::nullopt;
+  std::uint32_t crc = 0;
+  for (char c : s) {
+    std::uint32_t nibble;
+    if (c >= '0' && c <= '9')
+      nibble = static_cast<std::uint32_t>(c - '0');
+    else if (c >= 'a' && c <= 'f')
+      nibble = static_cast<std::uint32_t>(c - 'a') + 10;
+    else
+      return std::nullopt;
+    crc = (crc << 4) | nibble;
+  }
+  return crc;
 }
 
 }  // namespace pert::sim

@@ -11,12 +11,10 @@
 //
 // Modules interact with the sender through `CcHost` (tcp/tcp_sender.h), a
 // narrow facade over the sender's congestion surface: cwnd/ssthresh
-// references (arena-backed when a FlowArena row exists), the clock, the RNG
-// owner, tracing, and the multiplicative-decrease helper. Private state is
-// placement-constructed by `init` into a slot sized by `priv_size`; the
-// per-flow hot doubles (cwnd, ssthresh, the PERT estimator lanes) still live
-// in `tcp::FlowArena` rows — a module binds its lanes in `init` exactly as
-// the subclasses once did in their constructors.
+// references, the clock, the RNG owner, tracing, and the
+// multiplicative-decrease helper. Private state is placement-constructed by
+// `init` into a slot sized by `priv_size` and lives there, beside nothing
+// else, for the sender's lifetime.
 //
 // See docs/extending.md for a worked example (the CUBIC module).
 #pragma once

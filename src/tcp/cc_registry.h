@@ -35,7 +35,7 @@ class TcpSender;
 /// construction only.
 struct CcContext {
   net::Network* net = nullptr;
-  /// Sender config with `ecn` and `arena` already set for this flow.
+  /// Sender config with `ecn` already set for this flow.
   TcpConfig tcp;
   net::FlowId flow = 0;
 

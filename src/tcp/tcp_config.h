@@ -7,8 +7,6 @@
 
 namespace pert::tcp {
 
-class FlowArena;
-
 struct TcpConfig {
   std::int32_t seg_payload = 1000;   ///< payload bytes per segment
   std::int32_t header_bytes = 40;    ///< TCP/IP header overhead on the wire
@@ -35,12 +33,6 @@ struct TcpConfig {
   double delack_timeout = 0.1;       ///< seconds (below min_rto, no races)
   /// RTO before the first RTT sample (RFC 6298 suggests 1 s; ns-2 uses 3 s).
   double initial_rto = 3.0;
-  /// Optional struct-of-arrays backing store (tcp/flow_arena.h) for the hot
-  /// per-flow state (cwnd, ssthresh, srtt99, min_rtt, ...). Not owned; must
-  /// outlive every sender built with this config. nullptr (default) keeps
-  /// state inline in the sender. Either way the arithmetic is identical —
-  /// this only moves where the doubles live.
-  FlowArena* arena = nullptr;
 
   std::int32_t seg_bytes() const noexcept { return seg_payload + header_bytes; }
 

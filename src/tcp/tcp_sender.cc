@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "sim/sentinel.h"
-#include "tcp/flow_arena.h"
 
 namespace pert::tcp {
 
@@ -17,16 +16,9 @@ TcpSender::TcpSender(net::Network& net, TcpConfig cfg, net::FlowId flow)
 
 TcpSender::TcpSender(net::Network& net, TcpConfig cfg, net::FlowId flow,
                      const CongestionOps& ops)
-    : TcpSender(net, cfg, flow, ops, cfg.arena ? cfg.arena->acquire() : -1) {}
-
-TcpSender::TcpSender(net::Network& net, TcpConfig cfg, net::FlowId flow,
-                     const CongestionOps& ops, std::int32_t slot)
-    : cwnd_(slot >= 0 ? cfg.arena->cwnd(slot) : cwnd_inline_),
-      ssthresh_(slot >= 0 ? cfg.arena->ssthresh(slot) : ssthresh_inline_),
-      net_(&net),
+    : net_(&net),
       cfg_(cfg),
       flow_(flow),
-      arena_slot_(slot),
       ops_(ops),
       rto_timer_(net.sched(), [this] { on_rto(); }) {
   cfg_.validate();

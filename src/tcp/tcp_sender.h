@@ -134,27 +134,11 @@ class TcpSender : public net::Agent {
   void bump_early_responses() noexcept { ++st_.early_responses; }
   bool has_data_outstanding() const noexcept { return next_seq_ > snd_una_; }
 
-  /// Arena slot backing this sender's hot state, or -1 when it fell back to
-  /// the inline fields (no arena configured, or the arena was full).
-  /// Modules bind their own lanes (PERT's estimator) to the same row.
-  std::int32_t arena_slot() const noexcept { return arena_slot_; }
-  FlowArena* arena() const noexcept { return cfg_.arena; }
-
-  /// Hot congestion state. References, so every use site reads/writes them
-  /// exactly as before: they bind either to this sender's inline fields
-  /// or — when cfg.arena has a free slot — to the flow's row in the
-  /// struct-of-arrays FlowArena, which packs the per-ACK working set of a
-  /// many-flow scenario into contiguous cache lines.
-  double& cwnd_;
-  double& ssthresh_;
+  /// Congestion window and slow-start threshold, in packets.
+  double cwnd_ = 0.0;
+  double ssthresh_ = 0.0;
 
  private:
-  /// Delegation target: `slot` is the arena row acquired by the public
-  /// constructor (acquire() is stateful, so it must run exactly once,
-  /// before the reference members bind).
-  TcpSender(net::Network& net, TcpConfig cfg, net::FlowId flow,
-            const CongestionOps& ops, std::int32_t slot);
-
   enum Flag : std::uint8_t { kSacked = 1, kRexmit = 2, kLost = 4 };
 
   /// How many in-flight copies of a packet the given scoreboard flags imply
@@ -206,10 +190,6 @@ class TcpSender : public net::Agent {
   net::Network* net_;
   TcpConfig cfg_;
   net::FlowId flow_;
-  std::int32_t arena_slot_ = -1;
-  /// Fallback storage for cwnd_/ssthresh_ when no arena row was available.
-  double cwnd_inline_ = 0.0;
-  double ssthresh_inline_ = 0.0;
   net::NodeId dst_ = net::kNoNode;
   std::int32_t dst_port_ = 0;
 
@@ -285,8 +265,6 @@ class CcHost {
 
   obs::Tracer* tracer() const noexcept { return s_->tracer_; }
   std::uint32_t trace_id() const noexcept { return s_->trace_id(); }
-  std::int32_t arena_slot() const noexcept { return s_->arena_slot_; }
-  FlowArena* arena() const noexcept { return s_->cfg_.arena; }
 
  private:
   TcpSender* s_;

@@ -47,8 +47,8 @@ TEST(PdesDeterminism, DumbbellResultsIndependentOfThreadCount) {
 }
 
 TEST(PdesDeterminism, DumbbellMixedSchemesStayDeterministic) {
-  // The SACK/PERT co-existence mix exercises both sender types (and the
-  // plain-TCP arena path) under the sharded engine.
+  // The SACK/PERT co-existence mix exercises both sender types under the
+  // sharded engine.
   DumbbellConfig c1 = dumbbell_cfg(1);
   c1.nonproactive_fraction = 0.5;
   DumbbellConfig c4 = dumbbell_cfg(4);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +22,20 @@ namespace {
 
 TEST(SchemeEnum, ToStringThrowsOutsideTheEnumeration) {
   EXPECT_THROW(to_string(static_cast<Scheme>(99)), sim::ConfigError);
+}
+
+TEST(SchemeEnum, LegacyNamesRoundTripThroughTheCanonicalAlias) {
+  const Scheme all[] = {Scheme::kSackDroptail, Scheme::kSackRedEcn,
+                        Scheme::kSackPiEcn,    Scheme::kSackRemEcn,
+                        Scheme::kSackAvqEcn,   Scheme::kVegas,
+                        Scheme::kPert,         Scheme::kPertPi,
+                        Scheme::kPertRem};
+  for (Scheme s : all) EXPECT_EQ(legacy_scheme(legacy_name(s)), s);
+  EXPECT_EQ(legacy_name(Scheme::kSackDroptail), "sack");
+  EXPECT_EQ(legacy_scheme("sack-droptail"), Scheme::kSackDroptail);
+  EXPECT_EQ(legacy_scheme("cubic/codel"), std::nullopt);
+  EXPECT_EQ(legacy_scheme("PERT"), std::nullopt);
+  EXPECT_THROW(legacy_name(static_cast<Scheme>(99)), sim::ConfigError);
 }
 
 TEST(SchemeSpec, NinePaperNamesMapToEnumDescriptors) {

@@ -63,19 +63,19 @@ TEST(Scheme, NamesAreUniqueAndStable) {
 }
 
 TEST(Scheme, RouterAqmClassification) {
-  EXPECT_TRUE(router_aqm(Scheme::kSackRedEcn));
-  EXPECT_TRUE(router_aqm(Scheme::kSackPiEcn));
-  EXPECT_TRUE(router_aqm(Scheme::kSackRemEcn));
-  EXPECT_TRUE(router_aqm(Scheme::kSackAvqEcn));
-  EXPECT_FALSE(router_aqm(Scheme::kPert));
-  EXPECT_FALSE(router_aqm(Scheme::kPertPi));
-  EXPECT_FALSE(router_aqm(Scheme::kPertRem));
-  EXPECT_FALSE(router_aqm(Scheme::kVegas));
-  EXPECT_FALSE(router_aqm(Scheme::kSackDroptail));
+  EXPECT_TRUE(SchemeSpec(Scheme::kSackRedEcn).router_aqm());
+  EXPECT_TRUE(SchemeSpec(Scheme::kSackPiEcn).router_aqm());
+  EXPECT_TRUE(SchemeSpec(Scheme::kSackRemEcn).router_aqm());
+  EXPECT_TRUE(SchemeSpec(Scheme::kSackAvqEcn).router_aqm());
+  EXPECT_FALSE(SchemeSpec(Scheme::kPert).router_aqm());
+  EXPECT_FALSE(SchemeSpec(Scheme::kPertPi).router_aqm());
+  EXPECT_FALSE(SchemeSpec(Scheme::kPertRem).router_aqm());
+  EXPECT_FALSE(SchemeSpec(Scheme::kVegas).router_aqm());
+  EXPECT_FALSE(SchemeSpec(Scheme::kSackDroptail).router_aqm());
   // ECN-capable senders exactly where the router marks.
   for (Scheme s : {Scheme::kSackRedEcn, Scheme::kSackPiEcn})
-    EXPECT_TRUE(sender_ecn(s));
-  EXPECT_FALSE(sender_ecn(Scheme::kPert));
+    EXPECT_TRUE(SchemeSpec(s).ecn);
+  EXPECT_FALSE(SchemeSpec(Scheme::kPert).ecn);
 }
 
 }  // namespace

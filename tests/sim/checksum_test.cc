@@ -1,10 +1,14 @@
-// Pins the CRC32 implementation to the IEEE/zlib polynomial so journal
-// frames written by one build are always verifiable by another.
+// Pins the CRC32 implementation to the IEEE/zlib polynomial, and its hex8
+// field codec, so journal lines and protocol frames written by one build are
+// always verifiable by another.
 #include "sim/checksum.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace pert::sim {
 namespace {
@@ -50,6 +54,32 @@ TEST(Crc32, EmbeddedNulBytesParticipate) {
   const std::string with_nul("ab\0cd", 5);
   const std::string without_nul("abcd", 4);
   EXPECT_NE(crc32(with_nul), crc32(without_nul));
+}
+
+TEST(CrcHex8, EncodesFixedWidthLowercase) {
+  EXPECT_EQ(crc_hex8(0xCBF43926u), "cbf43926");
+  EXPECT_EQ(crc_hex8(0u), "00000000");
+  EXPECT_EQ(crc_hex8(0xAu), "0000000a");
+  EXPECT_EQ(crc_hex8(0xFFFFFFFFu), "ffffffff");
+}
+
+TEST(CrcHex8, ParseInvertsEncode) {
+  for (std::uint32_t v : {0u, 1u, 0xAu, 0x10u, 0xDEADBEEFu, 0xCBF43926u,
+                          0x80000000u, 0xFFFFFFFFu})
+    EXPECT_EQ(parse_crc_hex8(crc_hex8(v)), v) << crc_hex8(v);
+  static_assert(parse_crc_hex8("cbf43926") == 0xCBF43926u);
+}
+
+TEST(CrcHex8, ParseRejectsUppercaseNonHexAndWrongLength) {
+  EXPECT_EQ(parse_crc_hex8("CBF43926"), std::nullopt);  // uppercase
+  EXPECT_EQ(parse_crc_hex8("cbf4392F"), std::nullopt);
+  EXPECT_EQ(parse_crc_hex8("cbf4392g"), std::nullopt);  // non-hex
+  EXPECT_EQ(parse_crc_hex8("cbf4 926"), std::nullopt);
+  EXPECT_EQ(parse_crc_hex8("-bf43926"), std::nullopt);
+  EXPECT_EQ(parse_crc_hex8(std::string_view("cbf4\0926", 8)), std::nullopt);
+  EXPECT_EQ(parse_crc_hex8(""), std::nullopt);          // short
+  EXPECT_EQ(parse_crc_hex8("cbf4392"), std::nullopt);
+  EXPECT_EQ(parse_crc_hex8("cbf439260"), std::nullopt);  // long
 }
 
 }  // namespace

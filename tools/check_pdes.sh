@@ -16,11 +16,12 @@
 #   BUILD_DIR  directory with bench binaries (default: ./build)
 set -euo pipefail
 
+HERE=$(cd "$(dirname "$0")" && pwd)
 BUILD=${1:-./build}
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-strip_volatile() { grep -vE '"(wall_ms|cpu_ms|speedup|threads)"' "$1"; }
+strip_volatile() { "$HERE/strip_volatile.sh" "$1"; }
 
 check() { # name bench
   local name=$1 bench=$2
